@@ -214,8 +214,8 @@ func UlamDistanceMPC(s, sbar []int, p MPCParams) (MPCResult, error) {
 }
 
 // UlamDistanceMPCCtx is UlamDistanceMPC with a cancellation context: the
-// simulation aborts between rounds (and before each machine executes)
-// once ctx is done, returning ctx's error.
+// simulation aborts between rounds, before each machine executes, and
+// inside a machine's work once ctx is done, returning ctx's error.
 func UlamDistanceMPCCtx(ctx context.Context, s, sbar []int, p MPCParams) (MPCResult, error) {
 	p.Ctx = ctx
 	return core.UlamMPC(s, sbar, p)
@@ -230,8 +230,8 @@ func EditDistanceMPC(s, sbar []byte, p MPCParams) (MPCResult, error) {
 }
 
 // EditDistanceMPCCtx is EditDistanceMPC with a cancellation context: the
-// simulation aborts between rounds (and before each machine executes)
-// once ctx is done, returning ctx's error.
+// simulation aborts between rounds, before each machine executes, and
+// inside a machine's work once ctx is done, returning ctx's error.
 func EditDistanceMPCCtx(ctx context.Context, s, sbar []byte, p MPCParams) (MPCResult, error) {
 	p.Ctx = ctx
 	return core.EditMPC(s, sbar, p)

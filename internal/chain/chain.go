@@ -68,7 +68,6 @@ func UlamCostChain(tuples []Tuple, n, m int, ops *stats.Ops) (int, []Tuple) {
 	bestEnd := -1
 	d := make([]int, len(ts))
 	parent := make([]int, len(ts))
-	var work int64
 	for a := range ts {
 		t := ts[a]
 		d[a] = maxInt(t.L, t.G) + t.D
@@ -83,13 +82,13 @@ func UlamCostChain(tuples []Tuple, n, m int, ops *stats.Ops) (int, []Tuple) {
 				}
 			}
 		}
-		work += int64(a + 1)
+		// Charged row by row, so a bound counter can cancel mid-DP.
+		ops.Add(int64(a + 1))
 		if c := d[a] + maxInt(n-1-t.R, m-1-t.K); c < best {
 			best = c
 			bestEnd = a
 		}
 	}
-	ops.Add(work)
 	var out []Tuple
 	for at := bestEnd; at >= 0; at = parent[at] {
 		out = append(out, ts[at])
@@ -122,7 +121,6 @@ func EditCostChain(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) 
 	bestEnd := -1
 	d := make([]int, len(ts))
 	parent := make([]int, len(ts))
-	var work int64
 	for a := range ts {
 		t := ts[a]
 		d[a] = t.L + t.G + t.D
@@ -147,13 +145,13 @@ func EditCostChain(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) 
 				parent[a] = b
 			}
 		}
-		work += int64(a + 1)
+		// Charged row by row, so a bound counter can cancel mid-DP.
+		ops.Add(int64(a + 1))
 		if c := d[a] + (n - 1 - t.R) + (m - 1 - t.K); c < best {
 			best = c
 			bestEnd = a
 		}
 	}
-	ops.Add(work)
 	var out []Tuple
 	for at := bestEnd; at >= 0; at = parent[at] {
 		out = append(out, ts[at])

@@ -320,18 +320,37 @@ func editLarge(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	r1Out, err := cl.Run("edit-large/reps", trace.PhaseGraph, r1Inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		for _, pl := range in {
 			b := pl.(*repBatch)
+			ladders := windowLadders(b, nb, wins)
+			ds := make([]int32, len(b.NodeIDs))
+			sends := len(b.NodeIDs)
+			for _, rids := range b.RunRouting {
+				sends += len(rids)
+			}
+			x.Grow(len(b.RepIDs) * sends)
 			for zi, z := range b.RepIDs {
+				rep := b.RepStr[zi]
+				for vi, v := range b.NodeIDs {
+					if int(v) < nb {
+						ds[vi] = int32(editdist.Myers(rep, b.NodeStr[vi], x.Counter()))
+					}
+				}
+				for _, l := range ladders {
+					for k, d := range editdist.MyersMulti(rep, b.NodeStr[l.text], l.ends, x.Counter()) {
+						ds[l.nodes[k]] = int32(d)
+					}
+				}
+				// Send in node order: the selector keeps the first minimum
+				// it receives, so the order decides ties.
 				ji := int32(repIndex[z])
 				for vi, v := range b.NodeIDs {
-					d := int32(editdist.Myers(b.RepStr[zi], b.NodeStr[vi], x.Counter()))
 					if int(v) < nb {
-						msg := distMsg{Z: ji, V: v, D: d}
+						var msg mpc.Payload = distMsg{Z: ji, V: v, D: ds[vi]}
 						x.Send(selBase+int(v)/groupBlocks, msg)
 						for _, rid := range b.RunRouting[v] {
 							x.Send(int(rid), msg)
 						}
 					} else {
-						x.Send(int(ji), wdistMsg{Z: ji, U: v - int32(nb), D: d})
+						x.Send(int(ji), wdistMsg{Z: ji, U: v - int32(nb), D: ds[vi]})
 					}
 				}
 			}
@@ -367,13 +386,13 @@ func editLarge(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	r2Out, err := cl.Run("edit-large/join", trace.PhaseGraph, r2Inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		switch {
 		case x.Machine < nR:
-			// Joiner: forward window-distance vectors to R3 self.
+			// Joiner: forward window-distance vectors to R3 self, as
+			// received (no re-boxing).
+			x.Grow(len(in))
 			for _, pl := range in {
-				switch msg := pl.(type) {
-				case wdistMsg:
-					x.Send(x.Machine, msg)
-				case joinState:
-					x.Send(x.Machine, msg)
+				switch pl.(type) {
+				case wdistMsg, joinState:
+					x.Send(x.Machine, pl)
 				}
 			}
 		case x.Machine < runBase:
@@ -513,7 +532,7 @@ func editLarge(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 		if x.Machine < nR {
 			// Joiner: emit triangle tuples for its selected blocks.
 			var sels []selMsg
-			wd := make(map[int32]int32)
+			wd := make(map[int32]int32, len(in))
 			for _, pl := range in {
 				switch msg := pl.(type) {
 				case selMsg:
@@ -591,6 +610,42 @@ func editLarge(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 		return 0, mpc.Report{}, fmt.Errorf("core: edit-large chain produced %d values", len(vals))
 	}
 	return int(vals[0].(valueMsg)), cl.Report(), nil
+}
+
+// windowLadder is the set of an R1 batch's window nodes that share one
+// start γ. cand.Ends makes every window from γ a prefix of the longest
+// one, so a single MyersMulti pass over that longest window prices the
+// whole ladder.
+type windowLadder struct {
+	text  int   // batch index of the longest window
+	nodes []int // batch indices of the ladder's windows
+	ends  []int // their lengths, aligned with nodes
+}
+
+// windowLadders groups batch b's window nodes by start, in order of first
+// appearance. Node ids at or above nb are windows, wins[id-nb] = [γ, κ].
+func windowLadders(b *repBatch, nb int, wins [][2]int) []windowLadder {
+	var ls []windowLadder
+	byStart := make(map[int]int)
+	for vi, v := range b.NodeIDs {
+		if int(v) < nb {
+			continue
+		}
+		w := wins[int(v)-nb]
+		li, ok := byStart[w[0]]
+		if !ok {
+			li = len(ls)
+			byStart[w[0]] = li
+			ls = append(ls, windowLadder{text: vi})
+		}
+		l := &ls[li]
+		l.nodes = append(l.nodes, vi)
+		l.ends = append(l.ends, w[1]-w[0]+1)
+		if len(b.NodeStr[vi]) > len(b.NodeStr[l.text]) {
+			l.text = vi
+		}
+	}
+	return ls
 }
 
 func abs(v int) int {

@@ -38,9 +38,10 @@ type Params struct {
 	HitConst float64
 	// Parallelism bounds concurrently simulated machines (0 = GOMAXPROCS).
 	Parallelism int
-	// Ctx, when non-nil, cancels the simulation between rounds (and before
-	// each machine executes), so a caller-imposed timeout or disconnect
-	// aborts a long run promptly. Nil means no cancellation.
+	// Ctx, when non-nil, cancels the simulation between rounds, before
+	// each machine executes and inside machine bodies (see mpc.Config.Ctx),
+	// so a caller-imposed timeout or disconnect aborts a long run
+	// promptly. Nil means no cancellation.
 	Ctx context.Context
 	// Observer, when non-nil, receives the cluster's execution events
 	// (round and per-machine spans; see internal/trace) — the hook behind

@@ -247,7 +247,10 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, coll
 	// shrinks, so chain validity is preserved, and each max-gap grows by at
 	// most the shrinkage). This trims the Õ_eps(1) per-block constant
 	// without touching the coverage guarantee of Lemma 3.
-	var pruneOps int64
+	// The quadratic scan is charged row by row (same total) so that a
+	// cancelled request stops inside it.
+	x.Ops(int64(len(dists)))
+	var pruneOps, charged int64
 	for a := range kept {
 		for b := range kept {
 			if a == b || kept[a].d < 0 {
@@ -265,8 +268,9 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, coll
 			}
 		}
 		pruneOps += int64(len(kept))
+		x.Ops(pruneOps/8 - charged)
+		charged = pruneOps / 8
 	}
-	x.Ops(int64(len(dists)) + pruneOps/8)
 	for _, c := range kept {
 		if c.d >= 0 {
 			x.Send(collector, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d}))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,6 +189,33 @@ func TestFaultCancellationMidReplayNoLeaks(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestCancellationInsideBody checks that a machine body which never
+// returns on its own stops once the run's context is done: its op counter
+// polls the context as the count crosses 64Ki boundaries, so Run returns
+// the round's cancellation error instead of waiting for the body.
+func TestCancellationInsideBody(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := NewCluster(Config{Seed: 9, Ctx: ctx})
+	in := map[int][]Payload{0: {Int(1)}, 1: {Int(2)}}
+	_, err := c.Run("spin", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) {
+		x.Send(0, Int(0))
+		cancel()
+		for {
+			x.Ops(1000)
+		}
+	})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), `round "spin" cancelled`) {
+		t.Fatalf("want the round's cancellation error, got %v", err)
+	}
+	// A panic that is not a cancellation still propagates.
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want boom", r)
+		}
+	}()
+	runBody(func(*Ctx, []Payload) { panic("boom") }, &Ctx{}, nil)
 }
 
 // TestFaultEventsReachObservers checks fault and retry events flow to

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,12 +46,6 @@ type Payload interface {
 	Words() int
 }
 
-// Message is a payload addressed to a machine for the next round.
-type Message struct {
-	To   int
-	Data Payload
-}
-
 // Config parameterizes a Cluster.
 type Config struct {
 	// MachineWords is the per-machine memory cap S in words. Zero means
@@ -66,9 +61,10 @@ type Config struct {
 	Seed int64
 	// Ctx, when non-nil, cancels the simulation: Run checks it before the
 	// round starts, before each machine executes, and before each replay
-	// attempt, so a timed-out or abandoned request stops within one
-	// machine's work (or one retry) rather than running the remaining
-	// rounds to completion.
+	// attempt, and every machine's op counter polls it each 64Ki charged
+	// ops, abandoning the body mid-computation. So a timed-out or
+	// abandoned request stops within a few kernel calls rather than
+	// finishing the round, let alone the remaining rounds.
 	Ctx context.Context
 	// Observer, when non-nil, receives round and machine execution events
 	// (see internal/trace). Observers must be safe for concurrent use;
@@ -289,7 +285,7 @@ type Ctx struct {
 	phase   trace.Phase
 	obs     trace.Observer
 	ops     stats.Ops
-	out     []Message
+	out     []transport.Msg // the outbox; shipped as the record's Msgs
 	rng     *rand.Rand
 
 	inWords    int
@@ -304,9 +300,14 @@ func (x *Ctx) Counter() *stats.Ops { return &x.ops }
 // Ops charges n elementary operations to the machine.
 func (x *Ctx) Ops(n int64) { x.ops.Add(n) }
 
+// Grow makes room in the outbox for n more sends. A body that knows how
+// much it will send calls it first, so a large outbox is allocated once
+// at its final size instead of being regrown and copied as it fills.
+func (x *Ctx) Grow(n int) { x.out = slices.Grow(x.out, n) }
+
 // Send emits a message for delivery at the start of the next round.
 func (x *Ctx) Send(to int, data Payload) {
-	x.out = append(x.out, Message{To: to, Data: data})
+	x.out = append(x.out, transport.Msg{To: to, Data: data})
 	if x.obs != nil {
 		x.obs.Message(x.Round, x.Machine, to, data.Words())
 	}
@@ -416,7 +417,7 @@ func (x *Ctx) span(name string) trace.MachineSpan {
 		// avoids a per-machine map allocation, which dominated the
 		// observer's cost on trivial rounds.
 		for i, m := range x.out {
-			outWords += m.Data.Words()
+			outWords += m.Data.(Payload).Words()
 			dup := false
 			for j := 0; j < i; j++ {
 				if x.out[j].To == m.To {
@@ -431,7 +432,7 @@ func (x *Ctx) span(name string) trace.MachineSpan {
 	} else {
 		seen := make(map[int]struct{}, 32)
 		for _, m := range x.out {
-			outWords += m.Data.Words()
+			outWords += m.Data.(Payload).Words()
 			if _, ok := seen[m.To]; !ok {
 				seen[m.To] = struct{}{}
 				fanout++
@@ -741,9 +742,6 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 			firstErr = &MemoryError{Round: name, Machine: r.Machine, Words: w, Limit: c.cfg.MachineWords, Kind: "output"}
 		}
 		if !active {
-			for _, m := range r.Msgs {
-				next[m.To] = append(next[m.To], m.Data.(Payload))
-			}
 			continue
 		}
 		for seq, m := range r.Msgs {
@@ -787,6 +785,9 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 			}
 		}
 	}
+	if !active {
+		next = shuffle(merged)
+	}
 	c.rounds = append(c.rounds, st)
 	if obs != nil {
 		sum := summary(round, &st)
@@ -815,6 +816,57 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 		}
 	}
 	return next, nil
+}
+
+// shuffle delivers a fault-free round's messages: a counting sort by
+// destination that allocates each inbox once at its final size, then fills
+// it in sender-id, then outbox, order. Consecutive messages mostly share a
+// destination, so the destination's slot is looked up only when it
+// changes. It consumes merged: every record's Msgs is cleared.
+func shuffle(merged []transport.Record) map[int][]Payload {
+	slot := make(map[int]int)
+	var dests, counts []int
+	last, li := 0, -1
+	for _, r := range merged {
+		for _, m := range r.Msgs {
+			if li < 0 || m.To != last {
+				i, ok := slot[m.To]
+				if !ok {
+					i = len(dests)
+					slot[m.To] = i
+					dests = append(dests, m.To)
+					counts = append(counts, 0)
+				}
+				last, li = m.To, i
+			}
+			counts[li]++
+		}
+	}
+	inboxes := make([][]Payload, len(dests))
+	li = -1
+	for k := range merged {
+		for _, m := range merged[k].Msgs {
+			if li < 0 || m.To != last {
+				last, li = m.To, slot[m.To]
+			}
+			if inboxes[li] == nil {
+				// One spare slot: drivers add a payload of their own (a
+				// job, a machine's state) to some inboxes between rounds,
+				// which would otherwise copy the whole inbox.
+				inboxes[li] = make([]Payload, 0, counts[li]+1)
+			}
+			inboxes[li] = append(inboxes[li], m.Data.(Payload))
+		}
+		// The outbox is spent: the GC may reclaim it while later inboxes
+		// are still being filled, so a round's outboxes and inboxes need
+		// not all be resident at once.
+		merged[k].Msgs = nil
+	}
+	next := make(map[int][]Payload, len(dests))
+	for i, to := range dests {
+		next[to] = inboxes[i]
+	}
+	return next
 }
 
 // triggerFlightOnExhaustion fires the flight recorder's auto-dump when a
@@ -852,6 +904,23 @@ type roundExec struct {
 	maxRetries int
 	labels     pprof.LabelSet // {algo, phase, round} profiler labels
 	labeled    bool
+}
+
+// runBody runs one attempt of a machine body. It reports true when the
+// body was abandoned because the round's context was done: the machine's
+// op counter is bound to that context and panics with stats.Cancelled,
+// which is recovered here. Any other panic propagates.
+func runBody(fn MachineFunc, x *Ctx, in []Payload) (cancelled bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stats.Cancelled); !ok {
+				panic(r)
+			}
+			cancelled = true
+		}
+	}()
+	fn(x, in)
+	return false
 }
 
 // run executes the given machines concurrently (bounded by the cluster's
@@ -894,6 +963,7 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 				// machine's random streams and inputs depend only on
 				// (seed, round, machine), never on the attempt.
 				x := &Ctx{Machine: id, Round: round, cluster: c, phase: phase, obs: obs, inWords: re.inWords[id]}
+				x.ops.Bind(ctx)
 				ctxs[k] = x
 				if active && plan.CrashBefore(round, id, attempt) {
 					machFails[k]++
@@ -943,10 +1013,17 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 						}
 					}
 				}
-				re.fn(x, in)
+				cancelled := runBody(re.fn, x, in)
 				x.end = time.Now()
 				if obs != nil {
 					obs.MachineEnd(x.span(name))
+				}
+				if cancelled {
+					// The body saw the round's context done mid-computation;
+					// its partial output is dropped and Run reports the
+					// cancellation.
+					x.out = nil
+					return
 				}
 				if active && plan.CrashAfterExec(round, id, attempt) {
 					// The machine's output is lost before shipping; replay.
@@ -970,6 +1047,12 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 			}
 		}(k, id, re.inputs[id])
 	}
+	if c.cfg.Transport == nil {
+		// Without a transport nothing calls run again for this round, so
+		// each goroutine may hold the only reference to its input, which
+		// the GC reclaims once the machine finishes.
+		re.inputs = nil
+	}
 	wg.Wait()
 
 	recs := make([]transport.Record, len(ids))
@@ -992,11 +1075,8 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 			// ships — every party fails the round on it identically.
 			r.Crashed = true
 			r.CrashAttempts = ce.Attempts
-		} else if len(x.out) > 0 {
-			r.Msgs = make([]transport.Msg, len(x.out))
-			for i, m := range x.out {
-				r.Msgs[i] = transport.Msg{To: m.To, Data: m.Data}
-			}
+		} else {
+			r.Msgs = x.out
 		}
 		recs[k] = r
 	}

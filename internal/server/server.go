@@ -22,7 +22,7 @@
 //
 // Robustness: a bounded worker pool shares the host's cores across
 // requests, per-request timeouts propagate into the MPC simulator via
-// context (cancellation is checked between rounds), input sizes are
+// context (cancellation is checked inside rounds too), input sizes are
 // capped, handler panics are recovered to 500s, and repeated queries are
 // served from an LRU cache keyed on (algorithm, input hash, parameters).
 // Opt-in overload controls (Config.DegradeReserve / ShedQueue / ShedWait)
@@ -412,14 +412,14 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 		dl, ok := ctx.Deadline()
 		if !ok {
 			canDegrade = false // no deadline pressure, nothing to reserve
-		} else if reduced := dl.Add(-s.cfg.DegradeReserve); reduced.After(time.Now()) {
+		} else {
+			// When the reserve swallows the whole remaining deadline,
+			// runCtx is born expired: the exact kernel stops at its first
+			// check and the fallback gets the reserve.
 			var cancel context.CancelFunc
-			runCtx, cancel = context.WithDeadline(ctx, reduced)
+			runCtx, cancel = context.WithDeadline(ctx, dl.Add(-s.cfg.DegradeReserve))
 			defer cancel()
 		}
-		// When the reserve swallows the whole remaining deadline, the
-		// exact kernel keeps runCtx == ctx (already nearly expired) and
-		// the fallback still fires below.
 	}
 	a, err := spec.run(runCtx, q, params)
 	if err != nil && canDegrade && ctx.Err() == nil &&

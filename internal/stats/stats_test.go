@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -14,6 +15,26 @@ func TestOpsNilSafe(t *testing.T) {
 		t.Error("nil Ops should count 0")
 	}
 	o.Reset()
+}
+
+func TestOpsBindPollsAtBoundaries(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var o Ops
+	o.Bind(ctx)
+	o.Add(cancelEvery - 1)
+	cancel()
+	o.Add(0) // no boundary crossed: no poll, no panic
+	defer func() {
+		r, ok := recover().(Cancelled)
+		if !ok || r.Err != context.Canceled {
+			t.Fatalf("recovered %v, want Cancelled{context.Canceled}", r)
+		}
+		if o.Count() != cancelEvery {
+			t.Errorf("count %d, want %d: the crossing Add still counts", o.Count(), cancelEvery)
+		}
+	}()
+	o.Add(1)
+	t.Fatal("Add crossed a boundary of a cancelled counter without panicking")
 }
 
 func TestOpsConcurrent(t *testing.T) {

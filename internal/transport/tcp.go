@@ -713,12 +713,16 @@ func (c *Coordinator) Exchange(meta RoundMeta, assign [][]int, local []Record, e
 		return nil, err
 	}
 
+	// A worker that died still owes its ids until its evDeath (or
+	// evGrace) is handled here and they are reassigned: pump marks the
+	// slot dead before it queues evDeath, so the slot's state alone would
+	// end the loop with those machines missing from the merge.
 	done := func() bool {
 		if len(pending) > 0 {
 			return false
 		}
 		for w := 0; w < workers; w++ {
-			if c.stateOf(w) != peerDead && (needBarrier[w] || len(owed[w]) > 0) {
+			if needBarrier[w] || len(owed[w]) > 0 {
 				return false
 			}
 		}
@@ -924,7 +928,8 @@ func (c *Coordinator) Results() ([][]byte, error) {
 }
 
 // Alive reports how many workers are currently connected. Safe to call
-// from any goroutine.
+// from any goroutine. After Shutdown the count is unspecified: it drops as
+// the coordinator notices each worker hang up, so read it before.
 func (c *Coordinator) Alive() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
