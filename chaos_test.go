@@ -1,6 +1,7 @@
 package mpcdist
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"mpcdist/internal/fault"
 	"mpcdist/internal/trace"
+	"mpcdist/internal/traceio"
 )
 
 // The chaos suite runs the full Table 1 pipelines — both paper algorithms
@@ -175,36 +177,56 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 		3*chaosSchedulesPerAlgo, totalFailures, totalRetries)
 }
 
-// TestChaosTraceArtifact writes a Chrome trace of one representative
-// faulted Ulam run when CHAOS_TRACE_OUT is set (the CI artifact), and
-// sanity-checks that fault events reach the exporter either way.
+// TestChaosTraceArtifact traces one faulted run of every pipeline and
+// checks that the trace accounts for each injected fault and recovery
+// action: its "fault" instants must equal Report.Failures and its "retry"
+// instants Report.Retries. With CHAOS_TRACE_OUT set, the first (Ulam)
+// run's trace is written there as the CI artifact.
 func TestChaosTraceArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite runs full pipelines; skipped in -short")
 	}
 	rng := rand.New(rand.NewSource(chaosBaseSeed(t)))
 	plan := chaosPlan(rng)
-	chrome := trace.NewChrome()
-	alg := chaosInputs()[0]
-	res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12, Observer: chrome})
-	if err != nil {
-		t.Fatalf("traced chaos run (%s): %v", plan, err)
+	for i, alg := range chaosInputs() {
+		col := &trace.Collector{}
+		res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12, Observer: col})
+		if err != nil {
+			t.Fatalf("%s: traced chaos run (%s): %v", alg.name, plan, err)
+		}
+		ct := col.Trace()
+		raw, err := ct.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		instants := map[string]int{}
+		for _, ev := range file.TraceEvents {
+			if ev.Ph == "i" {
+				instants[ev.Name]++
+			}
+		}
+		if instants[trace.EventFault] != res.Report.Failures || instants[trace.EventRetry] != res.Report.Retries {
+			t.Errorf("%s: trace has %d fault / %d retry instants, report counted %d / %d",
+				alg.name, instants[trace.EventFault], instants[trace.EventRetry],
+				res.Report.Failures, res.Report.Retries)
+		}
+		out := os.Getenv("CHAOS_TRACE_OUT")
+		if i > 0 || out == "" {
+			continue
+		}
+		if err := traceio.WriteFile(out, ct); err != nil {
+			t.Fatalf("CHAOS_TRACE_OUT: %v", err)
+		}
+		t.Logf("chaos: wrote fault-event trace (%d events, failures=%d retries=%d) to %s",
+			ct.Events(), res.Report.Failures, res.Report.Retries, out)
 	}
-	if res.Report.Failures > 0 && chrome.Events() == 0 {
-		t.Fatalf("report counted %d failures but the trace recorded no events", res.Report.Failures)
-	}
-	out := os.Getenv("CHAOS_TRACE_OUT")
-	if out == "" {
-		return
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatalf("CHAOS_TRACE_OUT: %v", err)
-	}
-	defer f.Close()
-	if _, err := chrome.WriteTo(f); err != nil {
-		t.Fatalf("writing %s: %v", out, err)
-	}
-	t.Logf("chaos: wrote fault-event trace (%d events, failures=%d retries=%d) to %s",
-		chrome.Events(), res.Report.Failures, res.Report.Retries, out)
 }

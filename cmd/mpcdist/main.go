@@ -148,11 +148,11 @@ func main() {
 			if *transportName == "tcp" {
 				// Distributed runs ship telemetry from every worker and write
 				// one merged multi-process trace (see runMPC); an in-process
-				// Chrome observer would only see the coordinator's view.
+				// collector would only see the coordinator's view.
 			} else {
-				chromeTrace = trace.NewChrome()
+				traceCol = &trace.Collector{}
 				tracePath = *traceOut
-				p.Observer = chromeTrace
+				p.Observer = traceCol
 			}
 		default:
 			die("-trace requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
@@ -356,11 +356,12 @@ func runMPC(algo string, p core.Params, s, t []byte, pa, qa []int, transportName
 	return res, err
 }
 
-// chromeTrace and tracePath are set when -trace targets an MPC run; die
-// flushes the trace before exiting so a failed round is still viewable.
+// traceCol and tracePath are set when -trace targets an in-process MPC
+// run; die flushes the trace before exiting so a failed round is still
+// viewable.
 var (
-	chromeTrace *trace.Chrome
-	tracePath   string
+	traceCol  *trace.Collector
+	tracePath string
 )
 
 // flightDump is ArmFlight's finalizer; die runs it so os.Exit cannot
@@ -393,18 +394,18 @@ func die(format string, args ...any) {
 	os.Exit(1)
 }
 
-// flushTrace writes the collected Chrome trace once; it clears the
-// exporter first so a write failure inside die cannot recurse. traceio
+// flushTrace renders and writes the collected trace once; it clears the
+// collector first so a write failure inside die cannot recurse. traceio
 // surfaces create/write/sync/close failures and removes a partial file,
 // so a flush error always exits nonzero instead of leaving a truncated
 // trace that Perfetto would render as an empty timeline.
 func flushTrace() {
-	chrome, path := chromeTrace, tracePath
-	chromeTrace = nil
-	if chrome == nil {
+	col, path := traceCol, tracePath
+	traceCol = nil
+	if col == nil {
 		return
 	}
-	if err := traceio.WriteFile(path, chrome); err != nil {
+	if err := traceio.WriteFile(path, col.Trace()); err != nil {
 		die("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "mpcdist: wrote trace to %s (open in Perfetto or chrome://tracing)\n", path)

@@ -1,15 +1,14 @@
 // Command tracecheck validates a Chrome trace-event JSON file — the output
-// of mpcdist -trace (single-process or merged multi-process) — and exits
-// nonzero on the first class of violation found. CI runs it on the
-// distributed-smoke trace artifact, so a regression in the telemetry plane
-// fails the build instead of producing a silently broken timeline.
+// of mpcdist/mpctable -trace, local or distributed, or a flight-recorder
+// dump — and exits nonzero on the first class of violation found. CI runs
+// it on the trace artifacts, so a regression in the trace pipeline fails
+// the build instead of producing a silently broken timeline.
 //
 // Checks:
 //   - the file parses as a trace-event container with at least one event;
 //   - no event has a negative timestamp or negative duration;
 //   - every event lands on a named lane: its pid has a process_name
-//     metadata event (merged traces) or the trace is single-process, and
-//     its (pid, tid) has a thread_name metadata event;
+//     metadata event and its (pid, tid) a thread_name metadata event;
 //   - with -min-procs N, at least N distinct named process lanes exist
 //     (a 3-worker cluster trace must show coordinator + workers + transport).
 //
@@ -93,9 +92,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tracecheck: "+format+"\n", args...)
 		}
 	}
-	// Single-process traces (plain mpcdist -trace) have no process_name
-	// metadata at all; lane checks then apply to threads only.
-	multiProc := len(procNames) > 0
 	for i, ev := range file.TraceEvents {
 		if ev.Ph == "M" {
 			continue
@@ -106,10 +102,8 @@ func main() {
 		if ev.Dur != nil && *ev.Dur < 0 {
 			complain("event %d (%s): negative dur %v", i, ev.Name, *ev.Dur)
 		}
-		if multiProc {
-			if _, ok := procNames[ev.Pid]; !ok {
-				complain("event %d (%s): pid %d has no process_name lane", i, ev.Name, ev.Pid)
-			}
+		if _, ok := procNames[ev.Pid]; !ok {
+			complain("event %d (%s): pid %d has no process_name lane", i, ev.Name, ev.Pid)
 		}
 		if _, ok := threadNames[lane{ev.Pid, ev.Tid}]; !ok {
 			complain("event %d (%s): (pid %d, tid %d) has no thread_name lane", i, ev.Name, ev.Pid, ev.Tid)

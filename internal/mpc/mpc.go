@@ -15,10 +15,11 @@
 // Algorithm 6 line 9); both are deterministic given Config.Seed, so
 // simulations are reproducible regardless of goroutine scheduling.
 //
-// Observability: an optional trace.Observer on Config receives round and
-// per-machine execution events (spans exclude semaphore queueing), which
-// the built-in observers turn into Chrome trace-event timelines and skew
-// summaries. With no observer registered the hooks are single nil checks.
+// Observability: an optional trace.Observer on Config receives round,
+// per-machine (spans exclude semaphore queueing), and fault/retry events,
+// which internal/trace stores and renders as Chrome trace-event timelines.
+// Every cluster also feeds the process-global flight recorder unless
+// MPCDIST_FLIGHT=off, so the event sites run with or without an observer.
 package mpc
 
 import (
@@ -67,8 +68,9 @@ type Config struct {
 	// finishing the round, let alone the remaining rounds.
 	Ctx context.Context
 	// Observer, when non-nil, receives round and machine execution events
-	// (see internal/trace). Observers must be safe for concurrent use;
-	// a nil Observer costs one nil check per event site.
+	// (see internal/trace). Observers must be safe for concurrent use.
+	// The cluster composes the flight recorder behind it (trace.WithFlight),
+	// so events are delivered even when Observer is nil.
 	Observer trace.Observer
 	// Faults, when non-nil and active, injects the plan's deterministic
 	// fault schedule into every round: machine crashes (recovered by exact
@@ -283,7 +285,6 @@ type Ctx struct {
 
 	cluster *Cluster
 	phase   trace.Phase
-	obs     trace.Observer
 	ops     stats.Ops
 	out     []transport.Msg // the outbox; shipped as the record's Msgs
 	rng     *rand.Rand
@@ -308,9 +309,6 @@ func (x *Ctx) Grow(n int) { x.out = slices.Grow(x.out, n) }
 // Send emits a message for delivery at the start of the next round.
 func (x *Ctx) Send(to int, data Payload) {
 	x.out = append(x.out, transport.Msg{To: to, Data: data})
-	if x.obs != nil {
-		x.obs.Message(x.Round, x.Machine, to, data.Words())
-	}
 }
 
 // mix64 is the SplitMix64 finalizer, shared with internal/fault and the
@@ -609,10 +607,6 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 		for _, r := range merged {
 			if !r.Remote || !r.Started {
 				continue
-			}
-			obs.MachineStart(round, r.Machine, inWordsByID[r.Machine])
-			for _, m := range r.Msgs {
-				obs.Message(round, r.Machine, m.To, m.Data.(Payload).Words())
 			}
 			obs.MachineEnd(remoteSpan(name, phase, round, r, re.base, inWordsByID[r.Machine]))
 		}
@@ -939,7 +933,7 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.cfg.Parallelism)
 	for k, id := range ids {
-		ctxs[k] = &Ctx{Machine: id, Round: round, cluster: c, phase: phase, obs: obs, inWords: re.inWords[id]}
+		ctxs[k] = &Ctx{Machine: id, Round: round, cluster: c, phase: phase, inWords: re.inWords[id]}
 		wg.Add(1)
 		go func(k, id int, in []Payload) {
 			defer wg.Done()
@@ -962,7 +956,7 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 				// A fresh Ctx per attempt: replay is exact because the
 				// machine's random streams and inputs depend only on
 				// (seed, round, machine), never on the attempt.
-				x := &Ctx{Machine: id, Round: round, cluster: c, phase: phase, obs: obs, inWords: re.inWords[id]}
+				x := &Ctx{Machine: id, Round: round, cluster: c, phase: phase, inWords: re.inWords[id]}
 				x.ops.Bind(ctx)
 				ctxs[k] = x
 				if active && plan.CrashBefore(round, id, attempt) {
@@ -989,9 +983,6 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 					queueWait = x.start.Sub(spawned)
 				}
 				x.queueWait = queueWait
-				if obs != nil {
-					obs.MachineStart(x.Round, x.Machine, x.inWords)
-				}
 				if active {
 					if d := plan.StraggleDelay(round, id, attempt); d > 0 {
 						machFails[k]++

@@ -352,8 +352,13 @@ func TestObserverEventStream(t *testing.T) {
 			t.Errorf("round-0 span %+v", s)
 		}
 	}
-	if col.Messages != 4 || col.MsgWords != 4 {
-		t.Errorf("messages = %d words = %d, want 4/4", col.Messages, col.MsgWords)
+	var sends, words int
+	for _, s := range col.Spans {
+		sends += s.Sends
+		words += s.OutWords
+	}
+	if sends != 4 || words != 4 {
+		t.Errorf("messages = %d words = %d, want 4/4", sends, words)
 	}
 	if len(col.Summaries) != 2 || col.Summaries[0].Err != "" {
 		t.Fatalf("summaries = %+v", col.Summaries)

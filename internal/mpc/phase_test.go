@@ -12,14 +12,13 @@ import (
 // eventCounter counts every observer callback, to prove that rejected
 // rounds never reach the observer.
 type eventCounter struct {
-	trace.Base
 	events atomic.Int64
 }
 
 func (e *eventCounter) RoundStart(trace.RoundInfo)   { e.events.Add(1) }
-func (e *eventCounter) MachineStart(_, _, _ int)     { e.events.Add(1) }
 func (e *eventCounter) MachineEnd(trace.MachineSpan) { e.events.Add(1) }
-func (e *eventCounter) Message(_, _, _, _ int)       { e.events.Add(1) }
+func (e *eventCounter) Fault(trace.FaultEvent)       { e.events.Add(1) }
+func (e *eventCounter) Retry(trace.RetryEvent)       { e.events.Add(1) }
 func (e *eventCounter) RoundEnd(trace.RoundSummary)  { e.events.Add(1) }
 
 func TestRunRejectsUnphasedRound(t *testing.T) {

@@ -273,7 +273,7 @@ func (s *Server) validate(q Query) (algoSpec, mpcdist.MPCParams, error) {
 }
 
 // answer resolves one query: validation, cache lookup, pooled compute.
-// With wantTrace a Chrome trace observer is attached to the MPC run and
+// With wantTrace a trace collector is attached to the MPC run and
 // the cache is bypassed both ways (a traced answer is never representative
 // of, or reusable as, the plain one). resumable marks batch-originated
 // queries, the ones the checkpoint seam persists and auto-resumes.
@@ -287,10 +287,10 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 		s.metrics.ObserveBadInput()
 		return Answer{}, badRequestf("trace=1 requires an MPC algorithm, %q runs sequentially", q.Algo)
 	}
-	var chrome *trace.Chrome
+	var col *trace.Collector
 	if wantTrace {
-		chrome = trace.NewChrome()
-		params.Observer = chrome
+		col = &trace.Collector{}
+		params.Observer = col
 	}
 	if spec.MPC {
 		params.Faults = s.cfg.Faults
@@ -341,8 +341,8 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 		return Answer{}, runErr
 	}
 	a.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
-	if chrome != nil {
-		raw, jerr := chrome.JSON()
+	if col != nil {
+		raw, jerr := col.Trace().JSON()
 		if jerr != nil {
 			s.logQuery(ctx, q, nil, elapsed, jerr)
 			return Answer{}, jerr

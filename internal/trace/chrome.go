@@ -5,147 +5,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
-	"time"
 )
 
-// Chrome is an Observer that exports a simulation as a Chrome trace-event
-// JSON file (the format Perfetto and chrome://tracing load): one process
-// per cluster run, one track (thread) per simulated machine plus a
-// top-level "rounds" track, and one complete-event span per (round,
-// machine) carrying the machine's ops, words, and fan-out as args.
-//
-// Events are buffered in memory; call WriteTo (or JSON) after the
-// simulation finishes. The exporter is safe for concurrent use by the
-// machine goroutines of a single cluster run, and successive runs may
-// reuse one exporter (each shows up as its own process); but because run
-// boundaries are inferred from round-index monotonicity in RoundStart, a
-// single Chrome must NOT observe two clusters running concurrently —
-// interleaved rounds would scramble the process assignment. Give each
-// concurrent run its own Chrome instead.
-type Chrome struct {
-	mu        sync.Mutex
-	spans     []chromeSpan
-	rounds    []chromeRound
-	instants  []chromeInstant
-	pid       int
-	lastRound int
-	sawRound  bool
-}
-
-type chromeSpan struct {
-	pid  int
-	span MachineSpan
-}
-
-type chromeRound struct {
-	pid     int
-	summary RoundSummary
-}
-
-// chromeInstant is a fault, retry, or checkpoint action rendered as an
-// instant event: fault/retry on the affected machine's track, checkpoint
-// (machine -1) on the rounds track.
-type chromeInstant struct {
-	pid     int
-	name    string // EventFault, EventRetry, or "checkpoint"
-	cat     string // event category ("fault" or "checkpoint")
-	machine int
-	at      time.Time
-	args    map[string]any
-}
-
-// NewChrome returns an empty exporter.
-func NewChrome() *Chrome { return &Chrome{} }
-
-// RoundStart tracks cluster boundaries: a round index that does not
-// increase means a new cluster (or a Reset) started, which maps to a new
-// process in the trace so successive runs do not overlap on one timeline.
-func (c *Chrome) RoundStart(r RoundInfo) {
-	c.mu.Lock()
-	if c.sawRound && r.Round <= c.lastRound {
-		c.pid++
-	}
-	c.sawRound = true
-	c.lastRound = r.Round
-	c.mu.Unlock()
-}
-
-// MachineStart is a no-op: the span is emitted whole at MachineEnd.
-func (c *Chrome) MachineStart(round, machine, inWords int) {}
-
-// MachineEnd records the machine's execution span.
-func (c *Chrome) MachineEnd(s MachineSpan) {
-	c.mu.Lock()
-	c.spans = append(c.spans, chromeSpan{pid: c.pid, span: s})
-	c.mu.Unlock()
-}
-
-// Message is a no-op: per-machine fan-out and output volume are already on
-// the span's args, and per-message events would dwarf the trace.
-func (c *Chrome) Message(round, from, to, words int) {}
-
-// Fault records an injected fault as an instant event on the affected
-// machine's track, category "fault".
-func (c *Chrome) Fault(e FaultEvent) {
-	args := map[string]any{
-		"round":   e.Round,
-		"kind":    string(e.Kind),
-		"attempt": e.Attempt,
-	}
-	if e.Seq >= 0 {
-		args["seq"] = e.Seq
-	}
-	if e.To >= 0 {
-		args["to"] = e.To
-	}
-	c.mu.Lock()
-	c.instants = append(c.instants, chromeInstant{
-		pid: c.pid, name: EventFault, cat: "fault", machine: e.Machine, at: e.At, args: args})
-	c.mu.Unlock()
-}
-
-// Retry records a recovery action (machine replay or message
-// retransmission) as an instant event on the machine's track.
-func (c *Chrome) Retry(e RetryEvent) {
-	args := map[string]any{
-		"round":   e.Round,
-		"kind":    string(e.Kind),
-		"attempt": e.Attempt,
-	}
-	if e.Seq >= 0 {
-		args["seq"] = e.Seq
-	}
-	c.mu.Lock()
-	c.instants = append(c.instants, chromeInstant{
-		pid: c.pid, name: EventRetry, cat: "fault", machine: e.Machine, at: e.At, args: args})
-	c.mu.Unlock()
-}
-
-// Checkpoint records a durability action (round snapshot saved, or round
-// fast-forwarded from one) as an instant event on the rounds track.
-func (c *Chrome) Checkpoint(e CheckpointEvent) {
-	args := map[string]any{
-		"round": e.Round,
-		"kind":  e.Kind,
-		"step":  e.Step,
-	}
-	c.mu.Lock()
-	c.instants = append(c.instants, chromeInstant{
-		pid: c.pid, name: "checkpoint", cat: "checkpoint", machine: -1, at: e.At, args: args})
-	c.mu.Unlock()
-}
-
-// RoundEnd records the round's aggregate span for the "rounds" track.
-func (c *Chrome) RoundEnd(r RoundSummary) {
-	c.mu.Lock()
-	c.rounds = append(c.rounds, chromeRound{pid: c.pid, summary: r})
-	c.mu.Unlock()
-}
-
-// chromeEvent is one trace event in Chrome's JSON schema. Cat carries the
-// round's paper phase as the event category, so Perfetto's category filter
-// isolates one phase across every machine track.
+// chromeEvent is one trace event in Chrome's JSON schema (the format
+// Perfetto and chrome://tracing load). Cat carries the round's paper phase
+// as the event category, so Perfetto's category filter isolates one phase
+// across every machine track.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -166,44 +31,83 @@ type chromeFile struct {
 // on tid m+1 so machine ids (which start at 0) never collide with it.
 const roundsTrack = 0
 
-// build assembles the event list. The epoch is the earliest span start, so
-// timestamps are offsets into the simulation rather than wall-clock values;
-// events are sorted (pid, tid, ts, name) so the output is independent of
-// goroutine interleaving during collection.
-func (c *Chrome) build() chromeFile {
-	c.mu.Lock()
-	spans := append([]chromeSpan(nil), c.spans...)
-	rounds := append([]chromeRound(nil), c.rounds...)
-	instants := append([]chromeInstant(nil), c.instants...)
-	c.mu.Unlock()
+// Trace drains the collector and renders what it held as a one-party
+// trace (party 0). Single-process runs — mpcdist and mpctable -trace, the
+// server's ?trace=1 — export through it, so their traces have the same
+// layout as a distributed run's coordinator lane.
+func (c *Collector) Trace() *ClusterTrace {
+	t, _ := c.DrainTelemetry()
+	return BuildClusterTrace([]Telemetry{t})
+}
 
-	var epoch time.Time
-	for _, s := range spans {
-		if epoch.IsZero() || s.span.Start.Before(epoch) {
-			epoch = s.span.Start
+// ClusterTrace is a Chrome trace-event file assembled from the telemetry
+// of every party in a run — one party for an in-process run, the
+// coordinator plus its workers for a distributed one. Build it with
+// BuildClusterTrace or Collector.Trace; render it with JSON or WriteTo.
+type ClusterTrace struct {
+	file chromeFile
+}
+
+// BuildClusterTrace merges per-party telemetry into one Chrome trace-event
+// file: one process lane per party (pid = party index; party 0 is the
+// coordinator, or the only party of an in-process run). Inside a lane,
+// tid 0 is the rounds track and machine m is tid m+1; every round and
+// machine span takes its paper phase as the event category, and faults
+// and retries are instants on the machine's track. When there are
+// transport events, one extra "transport" process lane holds them on one
+// track per peer.
+//
+// Every timestamp is rebased onto the coordinator's clock via the party's
+// OffsetNs before the common epoch (the earliest rebased event) is
+// subtracted, so lanes from different processes line up on one timeline.
+// The hello/welcome midpoint estimate is typically accurate to well under
+// a millisecond on one host; see docs/OBSERVABILITY.md for caveats. Events
+// are sorted (pid, metadata first, tid, ts, name), so the output does not
+// depend on the goroutine interleaving that produced them.
+func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
+	parties = MergeTelemetry(parties)
+
+	// Epoch: the earliest rebased timestamp across every party.
+	var epoch int64
+	seenAny := false
+	observe := func(ns, off int64) {
+		if ns == 0 {
+			return
+		}
+		if v := ns + off; !seenAny || v < epoch {
+			epoch, seenAny = v, true
 		}
 	}
-	for _, r := range rounds {
-		if !r.summary.Start.IsZero() && (epoch.IsZero() || r.summary.Start.Before(epoch)) {
-			epoch = r.summary.Start
+	maxParty := 0
+	for _, p := range parties {
+		if p.Party > maxParty {
+			maxParty = p.Party
+		}
+		for _, s := range p.Spans {
+			observe(s.StartNs, p.OffsetNs)
+		}
+		for _, r := range p.Rounds {
+			observe(r.StartNs, p.OffsetNs)
+		}
+		for _, f := range p.Faults {
+			observe(f.AtNs, p.OffsetNs)
+		}
+		for _, e := range p.Events {
+			observe(e.AtNs, p.OffsetNs)
 		}
 	}
-	for _, in := range instants {
-		if !in.at.IsZero() && (epoch.IsZero() || in.at.Before(epoch)) {
-			epoch = in.at
-		}
-	}
-	us := func(t time.Time) float64 {
-		if t.IsZero() {
+	transportPid := maxParty + 1
+
+	us := func(ns, off int64) float64 {
+		if ns == 0 {
 			return 0
 		}
-		return float64(t.Sub(epoch)) / float64(time.Microsecond)
+		return float64(ns+off-epoch) / 1e3
 	}
 
-	// Metadata: name each process and track, and pin the rounds track to
-	// the top of its process group.
 	type track struct{ pid, tid int }
 	seen := map[track]bool{}
+	procs := map[int]bool{}
 	var events []chromeEvent
 	meta := func(pid, tid int, name string) {
 		if seen[track{pid, tid}] {
@@ -216,79 +120,128 @@ func (c *Chrome) build() chromeFile {
 			chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid,
 				Args: map[string]any{"sort_index": tid}})
 	}
-	procs := map[int]bool{}
-	proc := func(pid int) {
+	proc := func(pid int, name string) {
 		if procs[pid] {
 			return
 		}
 		procs[pid] = true
 		events = append(events, chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": "mpc cluster run " + strconv.Itoa(pid)}})
+			Args: map[string]any{"name": name}})
+	}
+	partyName := func(p int) string {
+		if p == 0 {
+			return "coordinator (party 0)"
+		}
+		return "worker (party " + strconv.Itoa(p) + ")"
 	}
 
-	for _, r := range rounds {
-		proc(r.pid)
-		meta(r.pid, roundsTrack, "rounds")
-		s := r.summary
-		args := map[string]any{
-			"round":       s.Round,
-			"phase":       string(s.Phase),
-			"machines":    s.Machines,
-			"totalOps":    s.TotalOps,
-			"commWords":   s.CommWords,
-			"queueWaitUs": s.QueueWait.Microseconds(),
-			"straggler":   s.Skew.Straggler,
+	for _, p := range parties {
+		pid, off := p.Party, p.OffsetNs
+		proc(pid, partyName(p.Party))
+		for _, r := range p.Rounds {
+			meta(pid, roundsTrack, "rounds")
+			args := map[string]any{
+				"round":       r.Round,
+				"phase":       r.Phase,
+				"machines":    r.Machines,
+				"totalOps":    r.TotalOps,
+				"commWords":   r.CommWords,
+				"queueWaitUs": r.QueueNs / 1e3,
+				"straggler":   r.Straggler,
+				"party":       p.Party,
+			}
+			// Fault counters appear only when nonzero, so fault-free
+			// traces carry none.
+			if r.Failures > 0 {
+				args["failures"] = r.Failures
+			}
+			if r.Retries > 0 {
+				args["retries"] = r.Retries
+			}
+			if r.Err != "" {
+				args["error"] = r.Err
+			}
+			ev := chromeEvent{Name: r.Name, Cat: r.Phase, Ph: "X", Pid: pid, Tid: roundsTrack,
+				Ts: us(r.StartNs, off), Dur: float64(r.EndNs-r.StartNs) / 1e3, Args: args}
+			if r.StartNs == 0 || r.EndNs < r.StartNs {
+				// No machine ran (pre-flight failure), or the round is still
+				// open (a flight-recorder dump taken mid-round): an instant
+				// keeps it visible without a negative duration.
+				ev.Ph, ev.Dur = "i", 0
+			}
+			events = append(events, ev)
 		}
-		// Fault counters appear only when nonzero, so fault-free traces
-		// (including the golden test's) are unchanged.
-		if s.Failures > 0 {
-			args["failures"] = s.Failures
+		for _, s := range p.Spans {
+			meta(pid, s.Machine+1, "machine "+strconv.Itoa(s.Machine))
+			events = append(events, chromeEvent{
+				Name: s.Name, Cat: s.Phase, Ph: "X", Pid: pid, Tid: s.Machine + 1,
+				Ts: us(s.StartNs, off), Dur: float64(s.EndNs-s.StartNs) / 1e3,
+				Args: map[string]any{
+					"round":       s.Round,
+					"phase":       s.Phase,
+					"ops":         s.Ops,
+					"inWords":     s.InWords,
+					"outWords":    s.OutWords,
+					"sends":       s.Sends,
+					"fanout":      s.Fanout,
+					"queueWaitUs": s.QueueNs / 1e3,
+					"party":       p.Party,
+				},
+			})
 		}
-		if s.Retries > 0 {
-			args["retries"] = s.Retries
+		for _, f := range p.Faults {
+			meta(pid, f.Machine+1, "machine "+strconv.Itoa(f.Machine))
+			name := EventFault
+			if f.Retry {
+				name = EventRetry
+			}
+			args := map[string]any{
+				"round":   f.Round,
+				"kind":    f.Kind,
+				"attempt": f.Attempt,
+			}
+			if f.Seq >= 0 {
+				args["seq"] = f.Seq
+			}
+			if !f.Retry && f.To >= 0 {
+				args["to"] = f.To
+			}
+			events = append(events, chromeEvent{
+				Name: name, Cat: "fault", Ph: "i", Pid: pid, Tid: f.Machine + 1,
+				Ts: us(f.AtNs, off), Args: args,
+			})
 		}
-		if s.Err != "" {
-			args["error"] = s.Err
+		for _, e := range p.Events {
+			// Transport events render on the dedicated transport lane: one
+			// track per remote peer, plus a session track for events not
+			// tied to a peer.
+			tid := 0
+			tname := "session"
+			if e.Party > 0 {
+				tid = e.Party
+				tname = "peer " + strconv.Itoa(e.Party)
+			}
+			proc(transportPid, "transport")
+			meta(transportPid, tid, tname)
+			args := map[string]any{
+				"kind":  e.Kind,
+				"party": e.Party,
+				"bytes": e.Bytes,
+			}
+			if e.Seq > 0 {
+				args["seq"] = e.Seq
+			}
+			if e.IDs > 0 {
+				args["machines"] = e.IDs
+			}
+			if e.RTTNs > 0 {
+				args["rttP99Us"] = e.RTTNs / 1e3
+			}
+			events = append(events, chromeEvent{
+				Name: e.Kind, Cat: "transport", Ph: "i", Pid: transportPid, Tid: tid,
+				Ts: us(e.AtNs, off), Args: args,
+			})
 		}
-		ev := chromeEvent{Name: s.Name, Cat: string(s.Phase), Ph: "X", Pid: r.pid, Tid: roundsTrack,
-			Ts: us(s.Start), Dur: float64(s.Elapsed) / float64(time.Microsecond), Args: args}
-		if s.Start.IsZero() {
-			// No machine ran (pre-flight failure or cancellation): an
-			// instant event keeps the failure visible on the timeline.
-			ev.Ph, ev.Dur = "i", 0
-		}
-		events = append(events, ev)
-	}
-	for _, cs := range spans {
-		s := cs.span
-		proc(cs.pid)
-		meta(cs.pid, s.Machine+1, "machine "+strconv.Itoa(s.Machine))
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: string(s.Phase), Ph: "X", Pid: cs.pid, Tid: s.Machine + 1,
-			Ts: us(s.Start), Dur: float64(s.End.Sub(s.Start)) / float64(time.Microsecond),
-			Args: map[string]any{
-				"round":       s.Round,
-				"phase":       string(s.Phase),
-				"ops":         s.Ops,
-				"inWords":     s.InWords,
-				"outWords":    s.OutWords,
-				"sends":       s.Sends,
-				"fanout":      s.Fanout,
-				"queueWaitUs": s.QueueWait.Microseconds(),
-			},
-		})
-	}
-	for _, in := range instants {
-		proc(in.pid)
-		if in.machine < 0 {
-			meta(in.pid, roundsTrack, "rounds")
-		} else {
-			meta(in.pid, in.machine+1, "machine "+strconv.Itoa(in.machine))
-		}
-		events = append(events, chromeEvent{
-			Name: in.name, Cat: in.cat, Ph: "i", Pid: in.pid, Tid: in.machine + 1,
-			Ts: us(in.at), Args: in.args,
-		})
 	}
 
 	sort.SliceStable(events, func(i, j int) bool {
@@ -296,7 +249,6 @@ func (c *Chrome) build() chromeFile {
 		if a.Pid != b.Pid {
 			return a.Pid < b.Pid
 		}
-		// Metadata first within a process.
 		am, bm := a.Ph == "M", b.Ph == "M"
 		if am != bm {
 			return am
@@ -309,30 +261,22 @@ func (c *Chrome) build() chromeFile {
 		}
 		return a.Name < b.Name
 	})
-	return chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"}
+	return &ClusterTrace{file: chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"}}
 }
 
-// JSON renders the collected trace as a Chrome trace-event file.
-func (c *Chrome) JSON() ([]byte, error) {
-	return json.Marshal(c.build())
-}
+// Events reports how many events the merged trace holds, metadata included.
+func (t *ClusterTrace) Events() int { return len(t.file.TraceEvents) }
 
-// WriteTo writes the trace to w (indented, since the files are meant to be
-// opened and occasionally read by humans).
-func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
-	buf, err := json.MarshalIndent(c.build(), "", " ")
+// JSON renders the trace as a Chrome trace-event file.
+func (t *ClusterTrace) JSON() ([]byte, error) { return json.Marshal(t.file) }
+
+// WriteTo writes the trace to w, indented, since the files are meant to be
+// opened and occasionally read by humans.
+func (t *ClusterTrace) WriteTo(w io.Writer) (int64, error) {
+	buf, err := json.MarshalIndent(t.file, "", " ")
 	if err != nil {
 		return 0, err
 	}
 	n, err := w.Write(buf)
 	return int64(n), err
-}
-
-// Events reports how many events the trace currently holds (spans, round
-// summaries, and fault/retry instants; metadata is synthesized at export
-// time).
-func (c *Chrome) Events() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.spans) + len(c.rounds) + len(c.instants)
 }

@@ -14,13 +14,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// runWorkload drives a small deterministic two-round simulation through a
-// Chrome exporter: Parallelism 1 serializes machine execution so the event
-// stream (and, after timestamp normalization, the exported JSON) is
-// byte-stable across runs.
-func runWorkload(t *testing.T, ch *trace.Chrome) {
+// runWorkload drives a small deterministic two-round simulation into a
+// collector and renders it as a one-party trace: Parallelism 1 serializes
+// machine execution so the event stream (and, after timestamp
+// normalization, the exported JSON) is byte-stable across runs.
+func runWorkload(t *testing.T) []byte {
 	t.Helper()
-	c := mpc.NewCluster(mpc.Config{Seed: 7, Parallelism: 1, MachineWords: 100, Observer: ch})
+	col := &trace.Collector{}
+	c := mpc.NewCluster(mpc.Config{Seed: 7, Parallelism: 1, MachineWords: 100, Observer: col})
 	in := map[int][]mpc.Payload{
 		0: {mpc.Ints{1, 2, 3}},
 		1: {mpc.Ints{4, 5}},
@@ -42,6 +43,11 @@ func runWorkload(t *testing.T, ch *trace.Chrome) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := col.Trace().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // normalize zeroes every wall-clock field of a trace file so two runs of
@@ -71,13 +77,7 @@ func normalize(t *testing.T, raw []byte) []byte {
 }
 
 func TestChromeGolden(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch)
-	raw, err := ch.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := normalize(t, raw)
+	got := normalize(t, runWorkload(t))
 
 	golden := filepath.Join("testdata", "chrome_golden.json")
 	if *update {
@@ -98,12 +98,7 @@ func TestChromeGolden(t *testing.T) {
 }
 
 func TestChromeStructure(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch)
-	raw, err := ch.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := runWorkload(t)
 	var file struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`
@@ -157,39 +152,14 @@ func TestChromeStructure(t *testing.T) {
 	}
 }
 
-func TestChromeMultipleRunsGetDistinctPids(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch) // cluster 1: rounds 0, 1
-	runWorkload(t, ch) // cluster 2: rounds 0, 1 again -> new pid
-	raw, err := ch.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Pid int `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range file.TraceEvents {
-		pids[ev.Pid] = true
-	}
-	if len(pids) != 2 {
-		t.Errorf("pids = %v, want two distinct cluster runs", pids)
-	}
-}
-
 func TestChromeFailedRoundVisible(t *testing.T) {
-	ch := trace.NewChrome()
-	c := mpc.NewCluster(mpc.Config{MachineWords: 2, Observer: ch})
+	col := &trace.Collector{}
+	c := mpc.NewCluster(mpc.Config{MachineWords: 2, Observer: col})
 	_, err := c.Run("boom", trace.PhaseCandidates, map[int][]mpc.Payload{0: {mpc.Ints{1, 2, 3}}}, func(x *mpc.Ctx, in []mpc.Payload) {})
 	if err == nil {
 		t.Fatal("want memory violation")
 	}
-	raw, jerr := ch.JSON()
+	raw, jerr := col.Trace().JSON()
 	if jerr != nil {
 		t.Fatal(jerr)
 	}

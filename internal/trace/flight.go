@@ -17,8 +17,8 @@ import (
 //
 // Unlike Collector (verbatim, unbounded, attach-on-request), the recorder
 // is meant to run for the whole life of a serving process: memory is
-// bounded by the ring capacities, the hot-path events (MachineStart,
-// Message) are no-ops, and everything else is one short critical section.
+// bounded by the ring capacities, and each event is one short critical
+// section.
 // Dump() renders the retained window as a merged cluster trace that
 // tracecheck accepts, which is what the SIGQUIT handler, the
 // /debug/flight endpoints, and the automatic failure triggers write out
@@ -149,9 +149,6 @@ func (f *FlightRecorder) RoundStart(r RoundInfo) {
 	f.mu.Unlock()
 }
 
-// MachineStart is a no-op: the span is recorded whole at MachineEnd.
-func (f *FlightRecorder) MachineStart(round, machine, inWords int) {}
-
 // MachineEnd records the machine's execution span. Remote spans are
 // skipped — on a distributed run the executing party ships the span via
 // telemetry, which the coordinator ingests with the correct party tag.
@@ -161,28 +158,15 @@ func (f *FlightRecorder) MachineEnd(s MachineSpan) {
 	}
 	f.mu.Lock()
 	f.seen++
-	f.spans.add(flightItem[TeleSpan]{party: f.party, v: TeleSpan{
-		Round: s.Round, Machine: s.Machine, Name: s.Name, Phase: string(s.Phase),
-		StartNs: nsOf(s.Start), EndNs: nsOf(s.End), QueueNs: int64(s.QueueWait),
-		Ops: s.Ops, InWords: s.InWords, OutWords: s.OutWords,
-		Sends: s.Sends, Fanout: s.Fanout,
-	}})
+	f.spans.add(flightItem[TeleSpan]{party: f.party, v: teleSpan(s)})
 	f.mu.Unlock()
 }
-
-// Message is a no-op: per-message recording would dominate the cost of
-// the rounds it observes, and the span already carries the aggregate.
-func (f *FlightRecorder) Message(round, from, to, words int) {}
 
 // Fault records an injected fault.
 func (f *FlightRecorder) Fault(e FaultEvent) {
 	f.mu.Lock()
 	f.seen++
-	f.faults.add(flightItem[TeleFault]{party: f.party, v: TeleFault{
-		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
-		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: e.To,
-		AtNs: nsOf(e.At),
-	}})
+	f.faults.add(flightItem[TeleFault]{party: f.party, v: teleFault(e)})
 	f.mu.Unlock()
 }
 
@@ -190,11 +174,7 @@ func (f *FlightRecorder) Fault(e FaultEvent) {
 func (f *FlightRecorder) Retry(e RetryEvent) {
 	f.mu.Lock()
 	f.seen++
-	f.faults.add(flightItem[TeleFault]{party: f.party, v: TeleFault{
-		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
-		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: -1, Retry: true,
-		AtNs: nsOf(e.At),
-	}})
+	f.faults.add(flightItem[TeleFault]{party: f.party, v: teleRetry(e)})
 	f.mu.Unlock()
 }
 
@@ -203,12 +183,7 @@ func (f *FlightRecorder) RoundEnd(r RoundSummary) {
 	f.mu.Lock()
 	f.seen++
 	f.hasOpen = false
-	f.rounds.add(flightItem[TeleRound]{party: f.party, v: TeleRound{
-		Round: r.Round, Name: r.Name, Phase: string(r.Phase), Machines: r.Machines,
-		StartNs: nsOf(r.Start), EndNs: nsOf(r.End), QueueNs: int64(r.QueueWait),
-		TotalOps: r.TotalOps, CommWords: r.CommWords,
-		Failures: r.Failures, Retries: r.Retries, Err: r.Err,
-	}})
+	f.rounds.add(flightItem[TeleRound]{party: f.party, v: teleRound(r)})
 	f.lat[f.latN%flightLatWindow] = int64(r.Elapsed)
 	f.latN++
 	f.mu.Unlock()
@@ -220,10 +195,7 @@ func (f *FlightRecorder) RoundEnd(r RoundSummary) {
 func (f *FlightRecorder) Transport(e TransportEvent) {
 	f.mu.Lock()
 	f.seen++
-	f.events.add(flightItem[TeleTransport]{party: f.party, v: TeleTransport{
-		Kind: e.Kind, Party: e.Party, Seq: e.Seq, IDs: e.IDs, Bytes: e.Bytes,
-		AtNs: nsOf(e.At),
-	}})
+	f.events.add(flightItem[TeleTransport]{party: f.party, v: teleTransport(e)})
 	burst := false
 	if e.Kind == TransportCorrupt {
 		f.corrupt++

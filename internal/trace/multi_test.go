@@ -27,9 +27,7 @@ func (r *recorder) RoundStart(ri trace.RoundInfo) { r.record(fmt.Sprintf("start%
 func (r *recorder) MachineEnd(s trace.MachineSpan) {
 	r.record(fmt.Sprintf("end%d.%d", s.Round, s.Machine))
 }
-func (r *recorder) Message(round, from, to, words int) {
-	r.record(fmt.Sprintf("msg%d.%d>%d", round, from, to))
-}
+func (r *recorder) Fault(e trace.FaultEvent)       { r.record(fmt.Sprintf("fault%d.%d", e.Round, e.Machine)) }
 func (r *recorder) RoundEnd(rs trace.RoundSummary) { r.record(fmt.Sprintf("finish%d", rs.Round)) }
 
 func TestMultiFiltersNil(t *testing.T) {
@@ -55,13 +53,13 @@ func TestMultiPreservesOrder(t *testing.T) {
 	m := trace.Multi(a, nil, b)
 
 	m.RoundStart(trace.RoundInfo{Round: 0, Phase: trace.PhaseCandidates})
-	m.Message(0, 1, 2, 8)
+	m.Fault(trace.FaultEvent{Round: 0, Machine: 1})
 	m.MachineEnd(trace.MachineSpan{Round: 0, Machine: 1})
 	m.RoundEnd(trace.RoundSummary{Round: 0})
 
 	want := []string{
 		"a:start0", "b:start0",
-		"a:msg0.1>2", "b:msg0.1>2",
+		"a:fault0.1", "b:fault0.1",
 		"a:end0.1", "b:end0.1",
 		"a:finish0", "b:finish0",
 	}
@@ -121,7 +119,7 @@ func TestMultiForwardsTransportEvents(t *testing.T) {
 	}
 }
 
-// TestMultiConcurrentFanOut exercises concurrent MachineEnd/Message fan-out
+// TestMultiConcurrentFanOut exercises concurrent MachineEnd/Fault fan-out
 // through a Multi from many goroutines; run with -race it proves the
 // fan-out path adds no shared mutable state of its own.
 func TestMultiConcurrentFanOut(t *testing.T) {
@@ -140,7 +138,7 @@ func TestMultiConcurrentFanOut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < events; i++ {
 				m.MachineEnd(trace.MachineSpan{Round: 0, Machine: g, Phase: trace.PhaseGraph})
-				m.Message(0, g, (g+1)%goroutines, i)
+				m.Fault(trace.FaultEvent{Round: 0, Machine: g, Attempt: i})
 			}
 		}(g)
 	}

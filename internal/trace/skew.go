@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -25,8 +24,7 @@ func Summarize(times []time.Duration) SkewStats {
 	if len(times) == 0 {
 		return SkewStats{}
 	}
-	sorted := append([]time.Duration(nil), times...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := sortedCopy(times)
 	var sum time.Duration
 	for _, d := range sorted {
 		sum += d
@@ -34,16 +32,8 @@ func Summarize(times []time.Duration) SkewStats {
 	st := SkewStats{
 		Max:  sorted[len(sorted)-1],
 		Mean: sum / time.Duration(len(sorted)),
+		P99:  nearestRank(sorted, 99),
 	}
-	// Nearest-rank percentile: ceil(0.99 * n) as a 1-based rank.
-	rank := (99*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	st.P99 = sorted[rank-1]
 	if st.Mean > 0 {
 		st.Straggler = float64(st.Max) / float64(st.Mean)
 	} else if st.Max == 0 {
@@ -51,6 +41,25 @@ func Summarize(times []time.Duration) SkewStats {
 		st.Straggler = 1
 	}
 	return st
+}
+
+func sortedCopy(times []time.Duration) []time.Duration {
+	sorted := append([]time.Duration(nil), times...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted
+}
+
+// nearestRank returns the q-th percentile of a non-empty sorted set:
+// ceil(q·n/100) as a 1-based rank.
+func nearestRank(sorted []time.Duration, q int) time.Duration {
+	r := (q*len(sorted) + 99) / 100
+	if r < 1 {
+		r = 1
+	}
+	if r > len(sorted) {
+		r = len(sorted)
+	}
+	return sorted[r-1]
 }
 
 // DurationQuantiles holds nearest-rank p50/p95/p99 over a duration set —
@@ -62,141 +71,12 @@ type DurationQuantiles struct {
 	P99 time.Duration
 }
 
-// Quantiles computes nearest-rank quantiles (ceil(q·n) as a 1-based rank,
-// like Summarize's P99) over times; zero value for an empty set.
+// Quantiles computes nearest-rank quantiles (like Summarize's P99) over
+// times; zero value for an empty set.
 func Quantiles(times []time.Duration) DurationQuantiles {
 	if len(times) == 0 {
 		return DurationQuantiles{}
 	}
-	sorted := append([]time.Duration(nil), times...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(q int) time.Duration {
-		r := (q*len(sorted) + 99) / 100
-		if r < 1 {
-			r = 1
-		}
-		if r > len(sorted) {
-			r = len(sorted)
-		}
-		return sorted[r-1]
-	}
-	return DurationQuantiles{P50: rank(50), P95: rank(95), P99: rank(99)}
-}
-
-// SkewAnalyzer is an Observer that accumulates per-round machine spans and
-// recomputes skew statistics independently of the simulator's own
-// RoundStats — useful when only an Observer can be attached, and as a
-// cross-check in tests.
-type SkewAnalyzer struct {
-	Base
-	mu     sync.Mutex
-	open   map[int][]time.Duration // round -> machine times
-	rounds []RoundSkew
-}
-
-// RoundSkew is one analyzed round. Failures/Retries mirror the round
-// summary's fault counters: injected straggler delays inflate the skew
-// stats, and these counts attribute that inflation to the injector.
-type RoundSkew struct {
-	Round    int
-	Name     string
-	Machines int
-	Skew     SkewStats
-	Failures int
-	Retries  int
-}
-
-// NewSkewAnalyzer returns an empty analyzer.
-func NewSkewAnalyzer() *SkewAnalyzer {
-	return &SkewAnalyzer{open: make(map[int][]time.Duration)}
-}
-
-// MachineEnd records the span's execution time.
-func (a *SkewAnalyzer) MachineEnd(s MachineSpan) {
-	a.mu.Lock()
-	a.open[s.Round] = append(a.open[s.Round], s.Duration())
-	a.mu.Unlock()
-}
-
-// RoundEnd closes the round and computes its skew summary.
-func (a *SkewAnalyzer) RoundEnd(r RoundSummary) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rounds = append(a.rounds, RoundSkew{
-		Round:    r.Round,
-		Name:     r.Name,
-		Machines: r.Machines,
-		Skew:     Summarize(a.open[r.Round]),
-		Failures: r.Failures,
-		Retries:  r.Retries,
-	})
-	delete(a.open, r.Round)
-}
-
-// Rounds returns the analyzed rounds in completion order.
-func (a *SkewAnalyzer) Rounds() []RoundSkew {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]RoundSkew(nil), a.rounds...)
-}
-
-// Collector is an Observer that records every event verbatim — the
-// simplest way to assert on the simulator's event stream in tests.
-type Collector struct {
-	mu         sync.Mutex
-	Starts     []RoundInfo
-	Spans      []MachineSpan
-	Messages   int
-	MsgWords   int64
-	Faults     []FaultEvent
-	Retries    []RetryEvent
-	Summaries  []RoundSummary
-	Transports []TransportEvent
-}
-
-func (c *Collector) RoundStart(r RoundInfo) {
-	c.mu.Lock()
-	c.Starts = append(c.Starts, r)
-	c.mu.Unlock()
-}
-
-func (c *Collector) MachineStart(round, machine, inWords int) {}
-
-func (c *Collector) MachineEnd(s MachineSpan) {
-	c.mu.Lock()
-	c.Spans = append(c.Spans, s)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Message(round, from, to, words int) {
-	c.mu.Lock()
-	c.Messages++
-	c.MsgWords += int64(words)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Fault(e FaultEvent) {
-	c.mu.Lock()
-	c.Faults = append(c.Faults, e)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Retry(e RetryEvent) {
-	c.mu.Lock()
-	c.Retries = append(c.Retries, e)
-	c.mu.Unlock()
-}
-
-func (c *Collector) RoundEnd(r RoundSummary) {
-	c.mu.Lock()
-	c.Summaries = append(c.Summaries, r)
-	c.mu.Unlock()
-}
-
-// Transport implements TransportObserver, buffering transport-level events
-// alongside the simulator's own.
-func (c *Collector) Transport(e TransportEvent) {
-	c.mu.Lock()
-	c.Transports = append(c.Transports, e)
-	c.mu.Unlock()
+	sorted := sortedCopy(times)
+	return DurationQuantiles{P50: nearestRank(sorted, 50), P95: nearestRank(sorted, 95), P99: nearestRank(sorted, 99)}
 }

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
-	"strconv"
+	"sync"
 	"time"
 )
 
@@ -62,6 +60,7 @@ type TeleRound struct {
 	CommWords int64
 	Failures  int
 	Retries   int
+	Straggler float64 // RoundSummary.Skew.Straggler
 	Err       string
 }
 
@@ -104,9 +103,106 @@ func nsOf(t time.Time) int64 {
 	return t.UnixNano()
 }
 
+// The wire converters: DrainTelemetry and the flight recorder flatten
+// events through these, so a field added to an event reaches both.
+
+func teleSpan(s MachineSpan) TeleSpan {
+	return TeleSpan{
+		Round: s.Round, Machine: s.Machine, Name: s.Name, Phase: string(s.Phase),
+		StartNs: nsOf(s.Start), EndNs: nsOf(s.End), QueueNs: int64(s.QueueWait),
+		Ops: s.Ops, InWords: s.InWords, OutWords: s.OutWords,
+		Sends: s.Sends, Fanout: s.Fanout,
+	}
+}
+
+func teleRound(r RoundSummary) TeleRound {
+	return TeleRound{
+		Round: r.Round, Name: r.Name, Phase: string(r.Phase), Machines: r.Machines,
+		StartNs: nsOf(r.Start), EndNs: nsOf(r.End), QueueNs: int64(r.QueueWait),
+		TotalOps: r.TotalOps, CommWords: r.CommWords,
+		Failures: r.Failures, Retries: r.Retries, Straggler: r.Skew.Straggler, Err: r.Err,
+	}
+}
+
+func teleFault(e FaultEvent) TeleFault {
+	return TeleFault{
+		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
+		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: e.To,
+		AtNs: nsOf(e.At),
+	}
+}
+
+func teleRetry(e RetryEvent) TeleFault {
+	return TeleFault{
+		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
+		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: -1, Retry: true,
+		AtNs: nsOf(e.At),
+	}
+}
+
+func teleTransport(e TransportEvent) TeleTransport {
+	return TeleTransport{
+		Kind: e.Kind, Party: e.Party, Seq: e.Seq, IDs: e.IDs, Bytes: e.Bytes,
+		AtNs: nsOf(e.At),
+	}
+}
+
+// Collector is an Observer that records every event verbatim: the buffer
+// behind telemetry shipping and single-process traces (drain it with
+// DrainTelemetry, or render it with Trace), and the simplest way to
+// assert on the simulator's event stream in tests.
+type Collector struct {
+	mu         sync.Mutex
+	Starts     []RoundInfo
+	Spans      []MachineSpan
+	Faults     []FaultEvent
+	Retries    []RetryEvent
+	Summaries  []RoundSummary
+	Transports []TransportEvent
+}
+
+func (c *Collector) RoundStart(r RoundInfo) {
+	c.mu.Lock()
+	c.Starts = append(c.Starts, r)
+	c.mu.Unlock()
+}
+
+func (c *Collector) MachineEnd(s MachineSpan) {
+	c.mu.Lock()
+	c.Spans = append(c.Spans, s)
+	c.mu.Unlock()
+}
+
+func (c *Collector) Fault(e FaultEvent) {
+	c.mu.Lock()
+	c.Faults = append(c.Faults, e)
+	c.mu.Unlock()
+}
+
+func (c *Collector) Retry(e RetryEvent) {
+	c.mu.Lock()
+	c.Retries = append(c.Retries, e)
+	c.mu.Unlock()
+}
+
+func (c *Collector) RoundEnd(r RoundSummary) {
+	c.mu.Lock()
+	c.Summaries = append(c.Summaries, r)
+	c.mu.Unlock()
+}
+
+// Transport implements TransportObserver, buffering transport-level events
+// alongside the simulator's own.
+func (c *Collector) Transport(e TransportEvent) {
+	c.mu.Lock()
+	c.Transports = append(c.Transports, e)
+	c.mu.Unlock()
+}
+
 // DrainTelemetry moves the collector's buffered events into a wire
-// Telemetry and clears them, so successive drains ship disjoint batches.
-// Spans marked Remote are skipped (they are another party's work, replayed
+// Telemetry and clears every buffer, so successive drains ship disjoint
+// batches and a long-lived collector retains nothing between them. Spans
+// marked Remote are skipped (they are another party's work, replayed
 // locally; that party ships them itself). The second result is false when
 // there was nothing to ship. Party and OffsetNs are left zero — the
 // transport stamps them at send time.
@@ -115,45 +211,23 @@ func (c *Collector) DrainTelemetry() (Telemetry, bool) {
 	defer c.mu.Unlock()
 	var t Telemetry
 	for _, s := range c.Spans {
-		if s.Remote {
-			continue
+		if !s.Remote {
+			t.Spans = append(t.Spans, teleSpan(s))
 		}
-		t.Spans = append(t.Spans, TeleSpan{
-			Round: s.Round, Machine: s.Machine, Name: s.Name, Phase: string(s.Phase),
-			StartNs: nsOf(s.Start), EndNs: nsOf(s.End), QueueNs: int64(s.QueueWait),
-			Ops: s.Ops, InWords: s.InWords, OutWords: s.OutWords,
-			Sends: s.Sends, Fanout: s.Fanout,
-		})
 	}
 	for _, r := range c.Summaries {
-		t.Rounds = append(t.Rounds, TeleRound{
-			Round: r.Round, Name: r.Name, Phase: string(r.Phase), Machines: r.Machines,
-			StartNs: nsOf(r.Start), EndNs: nsOf(r.End), QueueNs: int64(r.QueueWait),
-			TotalOps: r.TotalOps, CommWords: r.CommWords,
-			Failures: r.Failures, Retries: r.Retries, Err: r.Err,
-		})
+		t.Rounds = append(t.Rounds, teleRound(r))
 	}
 	for _, f := range c.Faults {
-		t.Faults = append(t.Faults, TeleFault{
-			Round: f.Round, Machine: f.Machine, Name: f.Name, Phase: string(f.Phase),
-			Kind: string(f.Kind), Attempt: f.Attempt, Seq: f.Seq, To: f.To,
-			AtNs: nsOf(f.At),
-		})
+		t.Faults = append(t.Faults, teleFault(f))
 	}
 	for _, r := range c.Retries {
-		t.Faults = append(t.Faults, TeleFault{
-			Round: r.Round, Machine: r.Machine, Name: r.Name, Phase: string(r.Phase),
-			Kind: string(r.Kind), Attempt: r.Attempt, Seq: r.Seq, To: -1, Retry: true,
-			AtNs: nsOf(r.At),
-		})
+		t.Faults = append(t.Faults, teleRetry(r))
 	}
 	for _, e := range c.Transports {
-		t.Events = append(t.Events, TeleTransport{
-			Kind: e.Kind, Party: e.Party, Seq: e.Seq, IDs: e.IDs, Bytes: e.Bytes,
-			AtNs: nsOf(e.At),
-		})
+		t.Events = append(t.Events, teleTransport(e))
 	}
-	c.Spans, c.Summaries, c.Faults, c.Retries, c.Transports = nil, nil, nil, nil, nil
+	c.Starts, c.Spans, c.Summaries, c.Faults, c.Retries, c.Transports = nil, nil, nil, nil, nil, nil
 	empty := len(t.Spans) == 0 && len(t.Rounds) == 0 && len(t.Faults) == 0 && len(t.Events) == 0
 	return t, !empty
 }
@@ -185,235 +259,4 @@ func MergeTelemetry(batches []Telemetry) []Telemetry {
 		out = append(out, *byParty[p])
 	}
 	return out
-}
-
-// ClusterTrace is a merged multi-process Chrome trace assembled from the
-// telemetry of every party in a distributed run. Build it with
-// BuildClusterTrace; it renders like Chrome (JSON / WriteTo).
-type ClusterTrace struct {
-	file chromeFile
-}
-
-// BuildClusterTrace merges per-party telemetry into one Chrome trace-event
-// file: one process lane per party (pid = party index; party 0 is the
-// coordinator), with the familiar per-process layout — tid 0 is the rounds
-// track, machine m is tid m+1, faults and retries are instants — plus one
-// extra "transport" process lane holding the coordinator's wire-level
-// events on one track per peer.
-//
-// Every timestamp is rebased onto the coordinator's clock via the party's
-// OffsetNs before the common epoch (the earliest rebased event) is
-// subtracted, so lanes from different processes line up on one timeline.
-// The hello/welcome midpoint estimate is typically accurate to well under
-// a millisecond on one host; see docs/OBSERVABILITY.md for caveats.
-func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
-	parties = MergeTelemetry(parties)
-
-	// Epoch: the earliest rebased timestamp across every party.
-	var epoch int64
-	seenAny := false
-	observe := func(ns, off int64) {
-		if ns == 0 {
-			return
-		}
-		if v := ns + off; !seenAny || v < epoch {
-			epoch, seenAny = v, true
-		}
-	}
-	maxParty := 0
-	for _, p := range parties {
-		if p.Party > maxParty {
-			maxParty = p.Party
-		}
-		for _, s := range p.Spans {
-			observe(s.StartNs, p.OffsetNs)
-		}
-		for _, r := range p.Rounds {
-			observe(r.StartNs, p.OffsetNs)
-		}
-		for _, f := range p.Faults {
-			observe(f.AtNs, p.OffsetNs)
-		}
-		for _, e := range p.Events {
-			observe(e.AtNs, p.OffsetNs)
-		}
-	}
-	transportPid := maxParty + 1
-
-	us := func(ns, off int64) float64 {
-		if ns == 0 {
-			return 0
-		}
-		return float64(ns+off-epoch) / 1e3
-	}
-
-	type track struct{ pid, tid int }
-	seen := map[track]bool{}
-	procs := map[int]bool{}
-	var events []chromeEvent
-	meta := func(pid, tid int, name string) {
-		if seen[track{pid, tid}] {
-			return
-		}
-		seen[track{pid, tid}] = true
-		events = append(events,
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": name}},
-			chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"sort_index": tid}})
-	}
-	proc := func(pid int, name string) {
-		if procs[pid] {
-			return
-		}
-		procs[pid] = true
-		events = append(events, chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name}})
-	}
-	partyName := func(p int) string {
-		if p == 0 {
-			return "coordinator (party 0)"
-		}
-		return "worker (party " + strconv.Itoa(p) + ")"
-	}
-
-	for _, p := range parties {
-		pid, off := p.Party, p.OffsetNs
-		proc(pid, partyName(p.Party))
-		for _, r := range p.Rounds {
-			meta(pid, roundsTrack, "rounds")
-			args := map[string]any{
-				"round":     r.Round,
-				"phase":     r.Phase,
-				"machines":  r.Machines,
-				"totalOps":  r.TotalOps,
-				"commWords": r.CommWords,
-				"party":     p.Party,
-			}
-			if r.Failures > 0 {
-				args["failures"] = r.Failures
-			}
-			if r.Retries > 0 {
-				args["retries"] = r.Retries
-			}
-			if r.Err != "" {
-				args["error"] = r.Err
-			}
-			ev := chromeEvent{Name: r.Name, Cat: r.Phase, Ph: "X", Pid: pid, Tid: roundsTrack,
-				Ts: us(r.StartNs, off), Dur: float64(r.EndNs-r.StartNs) / 1e3, Args: args}
-			if r.StartNs == 0 || r.EndNs < r.StartNs {
-				// No machine ran (pre-flight failure), or the round is still
-				// open (a flight-recorder dump taken mid-round): an instant
-				// keeps it visible without a negative duration.
-				ev.Ph, ev.Dur = "i", 0
-			}
-			events = append(events, ev)
-		}
-		for _, s := range p.Spans {
-			meta(pid, s.Machine+1, "machine "+strconv.Itoa(s.Machine))
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: s.Phase, Ph: "X", Pid: pid, Tid: s.Machine + 1,
-				Ts: us(s.StartNs, off), Dur: float64(s.EndNs-s.StartNs) / 1e3,
-				Args: map[string]any{
-					"round":       s.Round,
-					"phase":       s.Phase,
-					"ops":         s.Ops,
-					"inWords":     s.InWords,
-					"outWords":    s.OutWords,
-					"sends":       s.Sends,
-					"fanout":      s.Fanout,
-					"queueWaitUs": s.QueueNs / 1e3,
-					"party":       p.Party,
-				},
-			})
-		}
-		for _, f := range p.Faults {
-			meta(pid, f.Machine+1, "machine "+strconv.Itoa(f.Machine))
-			name := EventFault
-			if f.Retry {
-				name = EventRetry
-			}
-			args := map[string]any{
-				"round":   f.Round,
-				"kind":    f.Kind,
-				"attempt": f.Attempt,
-			}
-			if f.Seq >= 0 {
-				args["seq"] = f.Seq
-			}
-			if !f.Retry && f.To >= 0 {
-				args["to"] = f.To
-			}
-			events = append(events, chromeEvent{
-				Name: name, Cat: "fault", Ph: "i", Pid: pid, Tid: f.Machine + 1,
-				Ts: us(f.AtNs, off), Args: args,
-			})
-		}
-		for _, e := range p.Events {
-			// Transport events render on the dedicated transport lane: one
-			// track per remote peer, plus a session track for events not
-			// tied to a peer.
-			tid := 0
-			tname := "session"
-			if e.Party > 0 {
-				tid = e.Party
-				tname = "peer " + strconv.Itoa(e.Party)
-			}
-			proc(transportPid, "transport")
-			meta(transportPid, tid, tname)
-			args := map[string]any{
-				"kind":  e.Kind,
-				"party": e.Party,
-				"bytes": e.Bytes,
-			}
-			if e.Seq > 0 {
-				args["seq"] = e.Seq
-			}
-			if e.IDs > 0 {
-				args["machines"] = e.IDs
-			}
-			if e.RTTNs > 0 {
-				args["rttP99Us"] = e.RTTNs / 1e3
-			}
-			events = append(events, chromeEvent{
-				Name: e.Kind, Cat: "transport", Ph: "i", Pid: transportPid, Tid: tid,
-				Ts: us(e.AtNs, off), Args: args,
-			})
-		}
-	}
-
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Pid != b.Pid {
-			return a.Pid < b.Pid
-		}
-		am, bm := a.Ph == "M", b.Ph == "M"
-		if am != bm {
-			return am
-		}
-		if a.Tid != b.Tid {
-			return a.Tid < b.Tid
-		}
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
-		}
-		return a.Name < b.Name
-	})
-	return &ClusterTrace{file: chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"}}
-}
-
-// Events reports how many events the merged trace holds, metadata included.
-func (t *ClusterTrace) Events() int { return len(t.file.TraceEvents) }
-
-// JSON renders the merged trace as a Chrome trace-event file.
-func (t *ClusterTrace) JSON() ([]byte, error) { return json.Marshal(t.file) }
-
-// WriteTo writes the merged trace to w (indented, like Chrome.WriteTo).
-func (t *ClusterTrace) WriteTo(w io.Writer) (int64, error) {
-	buf, err := json.MarshalIndent(t.file, "", " ")
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcdist/internal/mpc"
 	"mpcdist/internal/trace"
 )
 
@@ -211,6 +212,32 @@ func TestDrainTelemetry(t *testing.T) {
 	}
 	if _, ok := c.DrainTelemetry(); ok {
 		t.Error("second drain not empty")
+	}
+}
+
+// TestDrainTelemetryRetainsNothing is the regression test for a
+// collector that lives as long as its process (a dist worker drains one
+// per round barrier): after each drain every buffer, round starts
+// included, must be empty, or the worker grows by a record per round.
+func TestDrainTelemetryRetainsNothing(t *testing.T) {
+	col := &trace.Collector{}
+	c := mpc.NewCluster(mpc.Config{Seed: 1, MachineWords: 100, Observer: col})
+	in := map[int][]mpc.Payload{0: {mpc.Ints{1, 2}}, 1: {mpc.Ints{3}}}
+	for i := 0; i < 20; i++ {
+		if _, err := c.Run("r", trace.PhaseChain, in, func(x *mpc.Ctx, in []mpc.Payload) {
+			x.Ops(1)
+			x.Send(0, mpc.Int(x.Machine))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tel, ok := col.DrainTelemetry()
+		if !ok || len(tel.Rounds) != 1 || len(tel.Spans) != 2 {
+			t.Fatalf("round %d: drained %d rounds, %d spans; want 1, 2", i, len(tel.Rounds), len(tel.Spans))
+		}
+		if n := len(col.Starts) + len(col.Spans) + len(col.Summaries) + len(col.Faults) +
+			len(col.Retries) + len(col.Transports); n != 0 {
+			t.Fatalf("round %d: collector retained %d events after drain (starts=%d)", i, n, len(col.Starts))
+		}
 	}
 }
 

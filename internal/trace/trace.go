@@ -1,8 +1,9 @@
 // Package trace defines the observability layer of the MPC simulator: an
-// Observer interface that internal/mpc invokes from Cluster.Run, plus the
-// built-in observers — a Chrome trace-event (Perfetto-compatible) exporter
-// that renders a simulation as a timeline with one track per simulated
-// machine, and a skew analyzer quantifying straggler effects.
+// Observer interface that internal/mpc invokes from Cluster.Run, the
+// observers that store its events — a verbatim Collector and the bounded,
+// always-on FlightRecorder — and one Chrome trace-event (Perfetto-
+// compatible) renderer, BuildClusterTrace, that draws a run as a timeline
+// with one lane per party and one track per simulated machine.
 //
 // The quantities observed here are exactly the ones the paper's Table 1 is
 // stated in, resolved to per-machine granularity: a MachineSpan carries the
@@ -13,8 +14,10 @@
 //
 // Observers may be invoked concurrently from the goroutines simulating
 // machines; implementations must be safe for concurrent use. The built-in
-// observers lock internally. A nil Observer on mpc.Config costs one nil
-// check per event site (benchmarked in internal/mpc).
+// observers lock internally. Every cluster runs with the flight recorder
+// composed behind its configured observer (unless MPCDIST_FLIGHT=off), so
+// each event costs one short critical section whether or not a caller
+// attached an observer of its own.
 package trace
 
 import "time"
@@ -100,7 +103,7 @@ const (
 )
 
 // EventFault and EventRetry are the trace-event names fault and recovery
-// events render under (e.g. in the Chrome exporter's timeline).
+// events render under in a Chrome trace.
 const (
 	EventFault = "fault"
 	EventRetry = "retry"
@@ -136,15 +139,14 @@ type RetryEvent struct {
 }
 
 // Observer receives the simulator's execution events. RoundStart and
-// RoundEnd are invoked from the driving goroutine; MachineStart,
-// MachineEnd, Message, Fault, and Retry are invoked concurrently from the
-// machine goroutines, so implementations must be safe for concurrent use.
+// RoundEnd are invoked from the driving goroutine; MachineEnd, Fault, and
+// Retry are invoked concurrently from the machine goroutines, so
+// implementations must be safe for concurrent use. A machine's messages
+// are not reported one by one: its span carries their count (Sends),
+// volume (OutWords), and distinct destinations (Fanout).
 type Observer interface {
 	RoundStart(r RoundInfo)
-	MachineStart(round, machine, inWords int)
 	MachineEnd(s MachineSpan)
-	// Message reports one emitted message (from -> to, words) during a round.
-	Message(round, from, to, words int)
 	// Fault reports one injected fault; Retry reports the recovery action
 	// replaying a machine or retransmitting a message.
 	Fault(e FaultEvent)
@@ -156,13 +158,11 @@ type Observer interface {
 // subset of events embeds Base and overrides what it needs.
 type Base struct{}
 
-func (Base) RoundStart(RoundInfo)     {}
-func (Base) MachineStart(_, _, _ int) {}
-func (Base) MachineEnd(MachineSpan)   {}
-func (Base) Message(_, _, _, _ int)   {}
-func (Base) Fault(FaultEvent)         {}
-func (Base) Retry(RetryEvent)         {}
-func (Base) RoundEnd(RoundSummary)    {}
+func (Base) RoundStart(RoundInfo)   {}
+func (Base) MachineEnd(MachineSpan) {}
+func (Base) Fault(FaultEvent)       {}
+func (Base) Retry(RetryEvent)       {}
+func (Base) RoundEnd(RoundSummary)  {}
 
 // Multi fans every event out to several observers in order. A nil entry is
 // skipped, so Multi(a, nil) is usable without pre-filtering.
@@ -190,21 +190,9 @@ func (m multi) RoundStart(r RoundInfo) {
 	}
 }
 
-func (m multi) MachineStart(round, machine, inWords int) {
-	for _, o := range m {
-		o.MachineStart(round, machine, inWords)
-	}
-}
-
 func (m multi) MachineEnd(s MachineSpan) {
 	for _, o := range m {
 		o.MachineEnd(s)
-	}
-}
-
-func (m multi) Message(round, from, to, words int) {
-	for _, o := range m {
-		o.Message(round, from, to, words)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package traceio persists trace exports to disk with full error
-// surfacing. The exporters (e.g. trace.Chrome) implement io.WriterTo;
+// surfacing. Traces (trace.ClusterTrace) implement io.WriterTo;
 // the commands that flush them must not swallow a failed write — a
 // truncated Chrome trace parses as an empty timeline in Perfetto, which
 // reads as "the run did nothing" rather than "the flush failed". Writes go
